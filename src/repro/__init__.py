@@ -193,7 +193,7 @@ from .api import (
     register_backend,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "__version__",

@@ -1,7 +1,7 @@
 """Pluggable solver backends behind a process-wide registry.
 
 A backend turns a :class:`~repro.api.scenario.Scenario` into a
-:class:`~repro.api.result.Result`.  Eight ship by default:
+:class:`~repro.api.result.Result`.  Seven ship by default:
 
 ``firstorder``
     The paper's Theorem-1 closed form + O(K^2) enumeration
@@ -27,13 +27,6 @@ A backend turns a :class:`~repro.api.scenario.Scenario` into a
     whole batch in lockstep broadcast passes — the general-schedule
     analogue of ``grid``, and the default for scheduled scenarios whose
     policy is not expressible as a two-speed pair.
-``schedule-grid-jit``
-    The native-speed tier (:mod:`repro.schedules.jit`): identical batch
-    splitting to ``schedule-grid`` but stacking into a
-    :class:`~repro.schedules.jit.JitScheduleGrid`, whose hot
-    evaluation runs through a numba-compiled kernel when numba is
-    installed (``pip install repro[jit]``) and falls back to the
-    byte-identical NumPy path when it is not.
 ``schedule-grid-incremental``
     The incremental (variational) tier
     (:mod:`repro.schedules.incremental`): identical batch splitting to
@@ -79,7 +72,6 @@ from ..schedules.incremental import (
     IncrementalStats,
     solve_schedule_grid_incremental,
 )
-from ..schedules.jit import JitScheduleGrid
 from ..schedules.solver import ScheduleSolution, solve_schedule
 from ..schedules.vectorized import ScheduleGrid, ScheduleGridSolution, solve_schedule_grid
 from ..sweep.vectorized import GridSolution, solve_bicrit_grid
@@ -96,7 +88,6 @@ __all__ = [
     "GridBackend",
     "ScheduleBackend",
     "ScheduleGridBackend",
-    "ScheduleGridJitBackend",
     "ScheduleGridIncrementalBackend",
     "register_backend",
     "get_backend",
@@ -126,13 +117,6 @@ class SolverBackend(abc.ABC):
     #: evaluator dispatches through the model's renewal primitives —
     #: opt in.
     handles_error_models: bool = False
-    #: Whether this backend routes its hot path through an optional
-    #: native (jit-compiled) kernel tier when one is importable.  A
-    #: ``uses_jit`` backend must degrade gracefully — identical results
-    #: through a pure-NumPy fallback — when the jit dependency is
-    #: absent; :func:`repro.schedules.jit.jit_available` reports which
-    #: tier is live.
-    uses_jit: bool = False
     #: Whether this backend's batch path benefits from sweep-ordered
     #: input: ``ExecutionPlan`` keeps detected sweep chains contiguous
     #: (via :mod:`repro.api.sweep_planner`) when sharding to a
@@ -689,10 +673,9 @@ class ScheduleGridBackend(SolverBackend):
     def _build_grid(self, points: list[tuple]) -> ScheduleGrid:
         """Stack the batch's numeric points into the evaluation grid.
 
-        The grid override point of the kernel tiers: the jit backend
-        swaps in :class:`~repro.schedules.jit.JitScheduleGrid` here and
-        inherits everything else (splitting, materialisation, the
-        lockstep solver) unchanged.
+        The grid override point of the incremental tier, which swaps in
+        :class:`~repro.schedules.incremental.DeltaScheduleGrid` here and
+        inherits the splitting and materialisation unchanged.
         """
         return ScheduleGrid.from_points(points)
 
@@ -701,9 +684,9 @@ class ScheduleGridBackend(SolverBackend):
     ) -> ScheduleGridSolution:
         """Run the lockstep solve over the stacked batch.
 
-        The solver override point of the kernel tiers: the incremental
-        backend swaps in the warm-started sweep solver here and
-        inherits the batch splitting and materialisation unchanged.
+        The solver override point of the incremental tier, which swaps
+        in the warm-started sweep solver here and inherits the batch
+        splitting and materialisation unchanged.
         """
         return solve_schedule_grid(grid, rhos)
 
@@ -775,32 +758,6 @@ class ScheduleGridBackend(SolverBackend):
             best=best,
             raw=best,
         )
-
-
-class ScheduleGridJitBackend(ScheduleGridBackend):
-    """``schedule-grid`` with the native-speed kernel tier.
-
-    Identical batch splitting and materialisation to
-    :class:`ScheduleGridBackend` — only the grid class differs: batches
-    stack into a :class:`~repro.schedules.jit.JitScheduleGrid`, whose
-    pure-exponential evaluations run through a numba-compiled kernel
-    when numba is importable (``pip install repro[jit]``; results agree
-    with the NumPy tier to ``<= 1e-12`` relative) and whose renewal
-    rows reuse per-``(model, V, speed)`` primitive tables across the
-    batch.  Without numba the fallback is byte-identical to
-    ``schedule-grid`` — same code path, so choosing this backend is
-    always safe.
-    """
-
-    name = "schedule-grid-jit"
-    modes = frozenset({"silent", "combined", "failstop"})
-    # handles_schedules / handles_error_models are inherited — this
-    # tier accepts exactly what schedule-grid accepts.
-    uses_jit = True
-
-    def _build_grid(self, points: list[tuple]) -> ScheduleGrid:
-        """Stack into the jit-tier grid (NumPy-identical fallback)."""
-        return JitScheduleGrid.from_points(points)
 
 
 class ScheduleGridIncrementalBackend(ScheduleGridBackend):
@@ -906,5 +863,4 @@ register_backend(CombinedBackend())
 register_backend(GridBackend())
 register_backend(ScheduleBackend())
 register_backend(ScheduleGridBackend())
-register_backend(ScheduleGridJitBackend())
 register_backend(ScheduleGridIncrementalBackend())

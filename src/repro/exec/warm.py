@@ -294,7 +294,12 @@ class WarmWorkerPool(Transport):
         """
         if self._ctx is None:
             import multiprocessing
+            from multiprocessing import resource_tracker
 
+            # Workers must share the parent's resource tracker: a worker
+            # forked before it exists starts its own, which unlinks the
+            # live scenario packs it attached to when the worker retires.
+            resource_tracker.ensure_running()
             self._ctx = multiprocessing.get_context(self._start_method)
             self._result_queue = self._ctx.Queue()
         self._started = True

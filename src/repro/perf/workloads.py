@@ -9,16 +9,15 @@ baseline workload their speedup is measured against (in-run, on the
 same machine — which is what makes the speedup columns of a committed
 ``BENCH_*.json`` comparable across machines).
 
-Four suites mirror the legacy bench scripts:
+Seven suites, most of them mirroring a ``benchmarks/bench_*.py`` script:
 
 ``schedule_grid``
     The per-scenario ``schedule`` loop vs the batched
-    ``schedule-grid`` pass vs the ``schedule-grid-jit`` tier, on a
-    pure general-schedule exponential grid (the jit kernel's hot
-    case).
+    ``schedule-grid`` pass, on a pure general-schedule exponential
+    grid.
 ``error_models``
-    The same comparison on a mixed renewal-model grid (Weibull/Gamma
-    rows exercise the primitive-table reuse, not the jit kernel).
+    The same comparison on a mixed renewal-model grid (exponential,
+    Weibull and Gamma rows).
 ``experiment_plan``
     Per-point ``Scenario.solve`` loop vs one batched
     :class:`~repro.api.experiment.Experiment` plan over a frontier
@@ -284,11 +283,6 @@ def _schedule_grid_suite(quick: bool) -> tuple[Workload, ...]:
             lambda: _solve_with("schedule-grid", scenarios),
             baseline="scalar_loop",
         ),
-        Workload(
-            "schedule_grid_jit",
-            lambda: _solve_with("schedule-grid-jit", scenarios),
-            baseline="scalar_loop",
-        ),
     )
 
 
@@ -299,11 +293,6 @@ def _error_models_suite(quick: bool) -> tuple[Workload, ...]:
         Workload(
             "schedule_grid",
             lambda: _solve_with("schedule-grid", scenarios),
-            baseline="scalar_loop",
-        ),
-        Workload(
-            "schedule_grid_jit",
-            lambda: _solve_with("schedule-grid-jit", scenarios),
             baseline="scalar_loop",
         ),
     )

@@ -9,8 +9,7 @@ artifacts in a pluggable store.  See docs/service.md.
 
 The core (:mod:`repro.service.app`) is carrier-neutral and runs on the
 stdlib threaded server (:mod:`repro.service.server`) with zero
-third-party dependencies; the ``repro[service]`` extra adds the
-FastAPI/uvicorn shell (:mod:`repro.service.asgi`).
+third-party dependencies.
 """
 
 from .app import ServiceApp, ServiceRequest, ServiceResponse

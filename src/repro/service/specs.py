@@ -346,10 +346,70 @@ def _parse_choice_list(
 # ----------------------------------------------------------------------
 # Branch parsers
 # ----------------------------------------------------------------------
+def _range_count(value: Any) -> int | None:
+    """A range object's declared ``count``, read before any point of
+    the range exists (``None`` for arrays and malformed counts)."""
+    if isinstance(value, dict):
+        count = value.get("count")
+        if isinstance(count, int) and not isinstance(count, bool):
+            return count
+    return None
+
+
+def _grid_size(
+    n_configs: int,
+    n_rhos: int,
+    modes: tuple[str, ...],
+    n_fractions: int,
+    models: tuple[object, ...],
+    n_rates: int,
+    n_schedules: int,
+) -> int:
+    """How many scenarios :meth:`Study.from_grid` builds from these
+    axes, counted through its nesting rules without building any."""
+    per_point = 0
+    for mode in modes:
+        fractions = n_fractions if mode == "combined" else 1
+        if mode == "silent":
+            rows = sum(n_rates if model is None else 1 for model in models)
+        else:
+            rows = n_rates
+        schedules = n_schedules if mode != "single-speed" else 1
+        per_point += fractions * rows * schedules
+    return n_configs * n_rhos * per_point
+
+
+def _cap_issue(issues: _Issues, path: str, n: int, max_points: int) -> None:
+    issues.add(
+        path,
+        f"spec expands to {n} scenarios, above the service cap of "
+        f"{max_points}; split the job",
+    )
+
+
 def _parse_grid(
-    grid: dict[str, Any], name: str, backend: str | None, issues: _Issues
+    grid: dict[str, Any],
+    name: str,
+    backend: str | None,
+    issues: _Issues,
+    max_points: int | None,
 ) -> tuple[Scenario, ...] | None:
     _unknown_keys(grid, _GRID_KEYS, "grid", issues)
+
+    # A range's points are allocated when it is parsed, so a count above
+    # the cap is refused from the count alone: the cost of the refusal
+    # must not grow with the size asked for.
+    oversized: set[str] = set()
+    if max_points is not None:
+        for key in ("rhos", "error_rates"):
+            count = _range_count(grid.get(key))
+            if count is not None and count > max_points:
+                issues.add(
+                    "grid",
+                    f"grid.{key} asks for {count} points, above the service "
+                    f"cap of {max_points}; split the job",
+                )
+                oversized.add(key)
 
     configs: "tuple[Configuration, ...] | None" = None
     if "configs" in grid:
@@ -364,8 +424,12 @@ def _parse_grid(
     else:
         issues.add("grid.configs", "required: at least one catalog configuration name")
 
-    rhos = _parse_numeric_axis(
-        grid.get("rhos", [3.0]), "grid.rhos", issues, positive=True
+    rhos = (
+        None
+        if "rhos" in oversized
+        else _parse_numeric_axis(
+            grid.get("rhos", [3.0]), "grid.rhos", issues, positive=True
+        )
     )
 
     modes: tuple[str, ...] | None = ("silent",)
@@ -385,7 +449,9 @@ def _parse_grid(
         )
 
     rates: tuple[float | None, ...] | None = (None,)
-    if "error_rates" in grid:
+    if "error_rates" in oversized:
+        rates = None
+    elif "error_rates" in grid:
         raw = grid["error_rates"]
         if isinstance(raw, dict):
             parsed_rates = _parse_numeric_axis(
@@ -433,6 +499,18 @@ def _parse_grid(
     assert configs is not None and rhos is not None and modes is not None
     assert fractions is not None and rates is not None
     assert schedules is not None and models is not None
+    size = _grid_size(
+        len(configs),
+        len(rhos),
+        modes,
+        len(fractions),
+        models,
+        len(rates),
+        len(schedules),
+    )
+    if max_points is not None and size > max_points:
+        _cap_issue(issues, "grid", size, max_points)
+        return None
     try:
         study = Study.from_grid(
             configs=configs,
@@ -587,25 +665,20 @@ def parse_experiment_spec(
     elif has_grid:
         grid = _expect_mapping(obj["grid"], "grid", issues)
         if grid is not None:
-            parsed_grid = _parse_grid(grid, name, backend, issues)
+            parsed_grid = _parse_grid(grid, name, backend, issues, max_points)
             if parsed_grid is not None:
                 scenarios = parsed_grid
     else:
         items = _expect_list(obj["scenarios"], "scenarios", issues)
-        if items is not None:
+        if items is not None and max_points is not None and len(items) > max_points:
+            _cap_issue(issues, "scenarios", len(items), max_points)
+        elif items is not None:
             parsed_rows = [
                 _parse_scenario(item, f"scenarios[{i}]", backend, issues)
                 for i, item in enumerate(items)
             ]
             if all(sc is not None for sc in parsed_rows):
                 scenarios = tuple(sc for sc in parsed_rows if sc is not None)
-
-    if scenarios and max_points is not None and len(scenarios) > max_points:
-        issues.add(
-            "grid" if has_grid else "scenarios",
-            f"spec expands to {len(scenarios)} scenarios, above the service "
-            f"cap of {max_points}; split the job",
-        )
 
     issues.raise_if_any()
     return ExperimentSpec(

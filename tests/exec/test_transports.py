@@ -8,7 +8,15 @@ and degradation machinery.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.api.experiment import Experiment
 from repro.api.scenario import Scenario
@@ -184,3 +192,44 @@ class TestDefaultPool:
             assert fresh is not pool
         finally:
             shutdown_default_pool()
+
+
+# A fresh interpreter, so no resource tracker exists before the pool
+# forks: recycled workers (max_tasks_per_worker=3) must not unlink the
+# parent's live scenario packs.
+_TRACKER_PROBE = textwrap.dedent(
+    """
+    import numpy as np
+    from repro.api.experiment import Experiment
+    from repro.exec import WarmWorkerPool
+
+    pool = WarmWorkerPool(max_workers=2, max_tasks_per_worker=3)
+    pool.start()
+    try:
+        for k in range(4):
+            rhos = tuple(float(r) for r in np.linspace(2.0 + k, 2.5 + k, 8))
+            rows = Experiment.over(["hera-xscale"], rhos).solve(
+                transport=pool, cache=False
+            )
+            print(len(rows))
+    finally:
+        pool.shutdown()
+    """
+)
+
+
+class TestWarmPoolSharedMemory:
+    def test_recycled_workers_keep_scenario_packs(self):
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("REPRO_DISABLE_SHM", None)  # the packs are what gets lost
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRACKER_PROBE],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["8"] * 4
+        assert "resource_tracker" not in proc.stderr

@@ -187,21 +187,24 @@ class TestVersionFlag:
 
 
 class TestBackendsListing:
-    def test_batched_jit_and_sweep_columns_exposed(self, capsys):
+    def test_registry_with_batched_and_sweep_columns(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        header = out.splitlines()[0]
-        for column in ("backend", "modes", "schedules", "errors", "batched",
-                       "jit", "sweep"):
-            assert column in header
-        rows = {line.split()[0]: line for line in out.splitlines()[1:9]}
-        # Last three cells per row: (batched, jit, sweep).
-        assert rows["grid"].split()[-3:] == ["yes", "no", "no"]
-        assert rows["schedule-grid"].split()[-3:] == ["yes", "no", "no"]
-        assert rows["schedule-grid-jit"].split()[-3:] == ["yes", "yes", "no"]
-        assert rows["schedule-grid-incremental"].split()[-3:] == \
-            ["yes", "no", "yes"]
-        assert rows["firstorder"].split()[-3:] == ["no", "no", "no"]
+        lines = out.splitlines()
+        assert lines[0].split() == [
+            "backend", "modes", "schedules", "errors", "batched", "sweep"
+        ]
+        rows = {line.split()[0]: line for line in lines[1:8]}
+        assert sorted(rows) == [
+            "combined", "exact", "firstorder", "grid", "schedule",
+            "schedule-grid", "schedule-grid-incremental",
+        ]
+        assert lines[8] == ""
+        # Last two cells per row: (batched, sweep).
+        assert rows["grid"].split()[-2:] == ["yes", "no"]
+        assert rows["schedule-grid"].split()[-2:] == ["yes", "no"]
+        assert rows["schedule-grid-incremental"].split()[-2:] == ["yes", "yes"]
+        assert rows["firstorder"].split()[-2:] == ["no", "no"]
         assert "sweep-aware backends" in out
 
 

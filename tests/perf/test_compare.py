@@ -204,15 +204,20 @@ def test_cli_bench_run_rejects_unknown_suite(tmp_path) -> None:
         main(["bench", "run", "nope", "--out", str(tmp_path)])
 
 
-def test_cli_backends_shows_jit_column(capsys) -> None:
+def test_cli_backends_shows_batched_and_sweep_columns(capsys) -> None:
     from repro.cli import main
 
     assert main(["backends"]) == 0
     out = capsys.readouterr().out
     header = out.splitlines()[0]
-    assert "jit" in header
-    jit_line = next(
-        line for line in out.splitlines() if line.startswith("schedule-grid-jit")
+    assert header.split()[-2:] == ["batched", "sweep"]
+    names = [line.split()[0] for line in out.splitlines()[1:8]]
+    assert names == [
+        "combined", "exact", "firstorder", "grid", "schedule",
+        "schedule-grid", "schedule-grid-incremental",
+    ]
+    grid_line = next(
+        line for line in out.splitlines() if line.startswith("schedule-grid ")
     )
-    # Trailing cells are (batched, jit, sweep).
-    assert jit_line.split()[-3:-1] == ["yes", "yes"]
+    # Trailing cells are (batched, sweep).
+    assert grid_line.split()[-2:] == ["yes", "no"]

@@ -306,7 +306,6 @@ class TestBackendIntegration:
         backend = get_backend("schedule-grid-incremental")
         assert backend.batched
         assert backend.sweep_aware
-        assert not backend.uses_jit
 
     def test_last_stats_recorded_after_batch(self, hera_xscale):
         from repro.api import Study

@@ -7,6 +7,8 @@ path, and the HTTP layer maps that to a 422 — never a 500.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.exceptions import InvalidSpecError
@@ -142,6 +144,41 @@ class TestGridSpecs:
         parse_experiment_spec(payload, max_points=100)
         with pytest.raises(InvalidSpecError) as excinfo:
             parse_experiment_spec(payload, max_points=99)
+        assert "grid" in _paths(excinfo)
+
+    @pytest.mark.parametrize("count", [300_000, 1_000_000_000])
+    def test_oversized_range_refused_without_materialising(self, count):
+        payload = {
+            "grid": {
+                "configs": ["hera-xscale"],
+                "rhos": {"start": 2.5, "stop": 5.0, "count": count},
+            }
+        }
+        t0 = time.perf_counter()
+        with pytest.raises(InvalidSpecError) as excinfo:
+            parse_experiment_spec(payload, max_points=10_000)
+        assert time.perf_counter() - t0 < 0.1
+        assert "grid" in _paths(excinfo)
+
+    def test_cap_counts_the_mixed_mode_expansion(self):
+        # Fractions apply to combined rows only, explicit models suppress
+        # the rate axis, single-speed takes no schedule: the cap must
+        # count what the grid builds, not the product of axis lengths.
+        payload = {
+            "grid": {
+                "configs": ["hera-xscale", "atlas-crusoe"],
+                "rhos": {"start": 2.5, "stop": 5.0, "count": 3},
+                "modes": ["silent", "combined", "single-speed"],
+                "failstop_fractions": [0.2, 0.5],
+                "error_rates": [3e-6, 4e-6],
+                "error_models": ["weibull:shape=0.7,mtbf=3e5", None],
+            }
+        }
+        n = len(parse_experiment_spec(payload))
+        assert n < 2 * 3 * 3 * 2 * 2 * 2
+        parse_experiment_spec(payload, max_points=n)
+        with pytest.raises(InvalidSpecError) as excinfo:
+            parse_experiment_spec(payload, max_points=n - 1)
         assert "grid" in _paths(excinfo)
 
     def test_cross_field_scenario_constraint_lands_on_grid(self):
