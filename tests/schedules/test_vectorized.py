@@ -10,14 +10,25 @@ for two-speed schedules, which keep the legacy closed-form fast paths.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Scenario, SolveCache, Study, available_backends
 from repro.api.backends import get_backend
-from repro.errors import CombinedErrors
-from repro.exceptions import InfeasibleBoundError, UnsupportedScenarioError
+from repro.errors import CombinedErrors, parse_error_model
+from repro.exceptions import (
+    InfeasibleBoundError,
+    InvalidParameterError,
+    UnsupportedScenarioError,
+)
 from repro.platforms import configuration_names
+from repro.platforms.catalog import get_configuration
 from repro.schedules import (
     Constant,
     Escalating,
@@ -29,6 +40,7 @@ from repro.schedules import (
     schedule_min_bound,
     solve_schedule_batch,
 )
+from repro.schedules.vectorized import ScheduleGrid
 from repro.sweep.vectorized import run_schedule_sweep_fast
 
 RHO = 3.0
@@ -157,6 +169,90 @@ class TestBatchedEvaluator:
         assert batch.time.shape == (len(GENERAL_SCHEDULES),)
 
 
+# Hypothesis strategies: schedules and error models the grid accepts.
+# Module-level configuration, because hypothesis re-runs a test body
+# many times and function-scoped fixtures are not reset between draws.
+CFG = get_configuration("hera-xscale")
+
+_speeds = st.floats(min_value=0.2, max_value=1.2, allow_nan=False)
+
+
+@st.composite
+def _schedules(draw):
+    if draw(st.booleans()):
+        head = tuple(draw(st.lists(_speeds, min_size=1, max_size=4)))
+        terminal = draw(st.one_of(st.none(), _speeds))
+        return Escalating(head, terminal=terminal)
+    sigma1 = draw(st.floats(min_value=0.3, max_value=0.9))
+    ratio = draw(st.floats(min_value=1.1, max_value=1.8))
+    return Geometric(sigma1, ratio, sigma_max=1.2)
+
+
+_models = st.sampled_from(
+    [
+        None,
+        "exp:rate=3e-6",
+        "exp:rate=1e-5,failstop=0.4",
+        "weibull:shape=0.7,mtbf=3e5",
+        "gamma:shape=2,mtbf=2e5",
+    ]
+)
+
+
+def _assert_grid_matches_scalar(points, work) -> None:
+    """Row i of ``ScheduleGrid.evaluate(work)`` == the scalar evaluator
+    on point i (with row i of ``work`` when work is an (n, m) panel)."""
+    res = ScheduleGrid.from_points(points).evaluate(work)
+    w = np.asarray(work, dtype=np.float64)
+    for i, (cfg, sched, err) in enumerate(points):
+        row_w = w[i] if w.ndim == 2 and w.shape[0] == len(points) else w.reshape(-1)
+        ref = evaluate_schedule(cfg, sched, row_w, errors=err)
+        np.testing.assert_allclose(res.time[i], ref.time, rtol=1e-12)
+        np.testing.assert_allclose(res.energy[i], ref.energy, rtol=1e-12)
+        np.testing.assert_allclose(res.attempts[i], ref.attempts, rtol=1e-12)
+
+
+class TestGridMatchesScalarEvaluator:
+    """``ScheduleGrid`` agrees with :func:`evaluate_schedule` to 1e-12
+    relative for random schedules, error models and work shapes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        schedule=_schedules(),
+        model=_models,
+        w=st.floats(min_value=1e2, max_value=1e5),
+    )
+    def test_single_row_across_strategies(self, schedule, model, w) -> None:
+        errors = None if model is None else parse_error_model(model)
+        _assert_grid_matches_scalar([(CFG, schedule, errors)], float(w))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        schedules=st.lists(_schedules(), min_size=2, max_size=5),
+        model=_models,
+    )
+    def test_stacked_rows_on_a_shared_work_row(self, schedules, model) -> None:
+        """Multi-row grids with one (1, m) work row (the solver's shape)."""
+        errors = None if model is None else parse_error_model(model)
+        points = [(CFG, s, errors) for s in schedules]
+        _assert_grid_matches_scalar(points, np.logspace(2.0, 4.5, 7).reshape(1, -1))
+
+    def test_per_row_work_panels(self) -> None:
+        """(n, m) work panels give each row its own work sizes."""
+        points = [
+            (CFG, Escalating((0.4, 0.6, 0.8)), None),
+            (CFG, Geometric(0.5, 1.4, sigma_max=1.0), None),
+        ]
+        work = np.array([[500.0, 2e3, 8e3], [700.0, 3e3, 9e3]])
+        _assert_grid_matches_scalar(points, work)
+
+    def test_nonpositive_work_rejected(self) -> None:
+        grid = ScheduleGrid.from_points([(CFG, Escalating((0.4, 0.6, 0.8)), None)])
+        for bad in (0.0, -1.0, np.array([100.0, 0.0])):
+            with pytest.raises(InvalidParameterError):
+                grid.evaluate(bad)
+
+
 class TestGoldenSolveEquivalence:
     """The acceptance pin: schedule-grid == schedule, randomized grid."""
 
@@ -189,6 +285,51 @@ class TestGoldenSolveEquivalence:
         for s, b in zip(scalar, batched):
             assert b.best == s.best  # byte-identical PatternSolutions
             assert b.provenance.backend == "schedule-grid"
+
+    def test_error_model_scenarios_agree_with_scalar_backend(self):
+        """Scenarios carrying a rate, a renewal model and a two-speed
+        schedule on another platform solve alike on both backends."""
+        scenarios = [
+            Scenario(config="hera-xscale", rho=3.2, error_rate=1e-5,
+                     schedule="esc:0.4,0.6,0.8"),
+            Scenario(config="hera-xscale", rho=2.9,
+                     errors="weibull:shape=0.7,mtbf=3e5",
+                     schedule="geom:0.4,1.5,1"),
+            Scenario(config="atlas-crusoe", rho=3.5, error_rate=3e-5,
+                     schedule="two:0.8,1.1"),
+        ]
+        scalar = get_backend("schedule").solve_batch(scenarios)
+        batched = get_backend("schedule-grid").solve_batch(scenarios)
+        assert all(r.feasible for r in scalar)
+        for s, b in zip(scalar, batched):
+            _assert_rows_agree(s, b)
+        assert batched[2].best == scalar[2].best  # two-speed fast path
+
+    def test_fresh_process_reports_identical_bits(self):
+        """A solve does not depend on process state: a child process
+        reports the same bits as this process for the same scenario."""
+        code = (
+            "from repro.api.backends import get_backend\n"
+            "from repro.api.scenario import Scenario\n"
+            "sc = Scenario(config='hera-xscale', rho=3.1, error_rate=2e-5,\n"
+            "              schedule='geom:0.4,1.5,1')\n"
+            "r = get_backend('schedule-grid').solve_batch([sc])[0]\n"
+            "print(repr(r.best.energy_overhead), repr(r.best.work))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        path = os.pathsep.join(
+            p for p in (os.path.abspath(src), os.environ.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
+        ).stdout.split()
+        sc = Scenario(
+            config="hera-xscale", rho=3.1, error_rate=2e-5, schedule="geom:0.4,1.5,1"
+        )
+        ref = get_backend("schedule-grid").solve_batch([sc])[0]
+        assert out == [repr(ref.best.energy_overhead), repr(ref.best.work)]
 
     def test_mixed_batch_keeps_scenario_order(self):
         scenarios = [
